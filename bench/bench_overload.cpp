@@ -286,6 +286,7 @@ int main(int argc, char** argv) {
   out << "{\n  \"benchmark\": \"overload\",\n  \"workers\": " << kWorkers
       << ",\n  \"queue\": " << kQueue << ",\n  \"seconds\": " << seconds
       << ",\n  \"cores\": " << cores
+      << ",\n  \"build_type\": \"" << NED_BUILD_TYPE << "\""
       << ",\n  \"smoke\": " << (smoke ? "true" : "false")
       << ",\n  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {

@@ -243,7 +243,7 @@ Result<bool> Evaluator::TryReplayCacheHit(const OperatorNode* node) {
       ChargeTuple(ctx_, t);
     }
     // Post-replay boundary check, symmetric with the post-Compute one in
-    // ComputeAndStore: without it a pure-hit evaluation could blow its row
+    // EvalNode: without it a pure-hit evaluation could blow its row
     // budget and return OK because no later checkpoint ever runs.
     NED_RETURN_NOT_OK(CheckExec(ctx_));
     tuples_produced_ += hit->size();
@@ -253,24 +253,6 @@ Result<bool> Evaluator::TryReplayCacheHit(const OperatorNode* node) {
   }
   ++cache_misses_;
   return false;
-}
-
-Result<const std::vector<TraceTuple>*> Evaluator::ComputeAndStore(
-    const OperatorNode* node) {
-  // Deterministic rid layout: each node's output rows take rids base+0,
-  // base+1, ... regardless of evaluation order, so cached outputs replay
-  // verbatim. Children have finished computing by contract, so the scope's
-  // counter cannot interleave with theirs.
-  EvalScope scope{ctx_, RidBaseFor(node)};
-  NED_ASSIGN_OR_RETURN(std::vector<TraceTuple> out, Compute(node, scope));
-  tuples_produced_ += out.size();
-  NED_RETURN_NOT_OK(CheckExec(ctx_));
-  const bool cacheable =
-      cache_ != nullptr && cache_->enabled() && !node->is_leaf();
-  Rows rows = std::make_shared<const std::vector<TraceTuple>>(std::move(out));
-  if (cacheable) cache_->Insert(CacheKeyFor(node), rows);
-  auto [pos, _] = outputs_.emplace(node, std::move(rows));
-  return pos->second.get();
 }
 
 Result<const std::vector<TraceTuple>*> Evaluator::EvalNode(
@@ -290,118 +272,18 @@ Result<const std::vector<TraceTuple>*> Evaluator::EvalNode(
     auto child_result = EvalNode(child.get());
     if (!child_result.ok()) return child_result.status();
   }
-  return ComputeAndStore(node);
-}
-
-Status Evaluator::EvalNodes(const std::vector<const OperatorNode*>& nodes) {
-  auto eval_serially = [&]() -> Status {
-    for (const OperatorNode* node : nodes) {
-      auto result = EvalNode(node);
-      if (!result.ok()) return result.status();
-    }
-    return Status::OK();
-  };
-  if (!ParallelActive(ctx_) || nodes.size() < 2) return eval_serially();
-
-  // Coordinator pre-pass in node order: the same memo / boundary-check /
-  // cache-replay sequence the EvalNode loop would run, leaving only nodes
-  // that genuinely need computing. Fan-out requires every child to be
-  // evaluated already (NedExplain's bottom-up level walk guarantees it);
-  // anything else falls back to the serial walk.
-  const bool cache_on = cache_ != nullptr && cache_->enabled();
-  std::vector<const OperatorNode*> pending;
-  for (const OperatorNode* node : nodes) {
-    if (outputs_.count(node) > 0) continue;
-    for (const auto& child : node->children) {
-      if (outputs_.count(child.get()) == 0) return eval_serially();
-    }
-    NED_RETURN_NOT_OK(CheckExec(ctx_));
-    if (cache_on && !node->is_leaf()) {
-      NED_ASSIGN_OR_RETURN(bool hit, TryReplayCacheHit(node));
-      if (hit) continue;
-    }
-    pending.push_back(node);
-  }
-  if (pending.size() < 2) {
-    for (const OperatorNode* node : pending) {
-      auto result = ComputeAndStore(node);
-      if (!result.ok()) return result.status();
-    }
-    return Status::OK();
-  }
-
-  // Sibling fan-out: each pending node computes detached on a worker shard
-  // (disjoint subtrees, read-only view of memoized outputs). The
-  // coordinator folds shards back in node order -- charges, checkpoints,
-  // memoization and cache insertion all happen in the order the serial
-  // walk would produce, so observable state is identical.
-  const size_t n = pending.size();
-  std::vector<ExecContext> shards(n);
-  std::vector<std::vector<TraceTuple>> outs(n);
-  std::vector<Status> statuses(n, Status::OK());
-  for (size_t i = 0; i < n; ++i) ctx_->BeginWorkerShard(&shards[i]);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    tasks.push_back([this, &shards, &outs, &statuses, &pending, i] {
-      EvalScope scope{&shards[i], RidBaseFor(pending[i])};
-      auto result = Compute(pending[i], scope);
-      if (result.ok()) {
-        outs[i] = std::move(result).value();
-      } else {
-        statuses[i] = result.status();
-      }
-    });
-  }
-  ctx_->task_pool()->RunAndWait(tasks);
-  for (size_t i = 0; i < n; ++i) {
-    ctx_->FoldShard(shards[i]);
-    NED_RETURN_NOT_OK(ctx_->CheckPoint());
-    NED_RETURN_NOT_OK(statuses[i]);
-    tuples_produced_ += outs[i].size();
-    Rows rows =
-        std::make_shared<const std::vector<TraceTuple>>(std::move(outs[i]));
-    if (cache_on && !pending[i]->is_leaf()) {
-      cache_->Insert(CacheKeyFor(pending[i]), rows);
-    }
-    outputs_.emplace(pending[i], std::move(rows));
-  }
-  return Status::OK();
-}
-
-Result<std::vector<TraceTuple>> Evaluator::RunPartitioned(
-    EvalScope& scope, const MorselPlan& plan,
-    const std::function<Status(size_t, size_t, ExecContext*,
-                               std::vector<TraceTuple>*)>& morsel) {
-  const size_t parts = plan.partitions;
-  std::vector<ExecContext> shards(parts);
-  std::vector<std::vector<TraceTuple>> outs(parts);
-  std::vector<Status> statuses(parts, Status::OK());
-  for (size_t p = 0; p < parts; ++p) scope.ctx->BeginWorkerShard(&shards[p]);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(parts);
-  for (size_t p = 0; p < parts; ++p) {
-    tasks.push_back([&, p] {
-      statuses[p] = morsel(plan.begin(p), plan.end(p), &shards[p], &outs[p]);
-    });
-  }
-  scope.ctx->task_pool()->RunAndWait(tasks);
-  // Merge in partition order, assigning rids as rows are appended: morsels
-  // produce rows in input order within disjoint input ranges, so the
-  // concatenation is the serial production order and row i of the output
-  // gets rid base+i exactly as the serial loop would assign it.
-  std::vector<TraceTuple> out;
-  for (size_t p = 0; p < parts; ++p) {
-    scope.ctx->FoldShard(shards[p]);
-    NED_RETURN_NOT_OK(scope.ctx->CheckPoint());
-    NED_RETURN_NOT_OK(statuses[p]);
-    out.reserve(out.size() + outs[p].size());
-    for (TraceTuple& t : outs[p]) {
-      t.rid = scope.NextRid();
-      out.push_back(std::move(t));
-    }
-  }
-  return out;
+  // Deterministic rid layout: each node's output rows take rids base+0,
+  // base+1, ... regardless of evaluation order, so cached outputs replay
+  // verbatim. Children have finished computing, so the scope's counter
+  // cannot interleave with theirs.
+  EvalScope scope{ctx_, RidBaseFor(node)};
+  NED_ASSIGN_OR_RETURN(std::vector<TraceTuple> out, Compute(node, scope));
+  tuples_produced_ += out.size();
+  NED_RETURN_NOT_OK(CheckExec(ctx_));
+  Rows rows = std::make_shared<const std::vector<TraceTuple>>(std::move(out));
+  if (cacheable) cache_->Insert(CacheKeyFor(node), rows);
+  auto [pos, _] = outputs_.emplace(node, std::move(rows));
+  return pos->second.get();
 }
 
 const std::vector<TraceTuple>* Evaluator::TryGetOutput(
@@ -434,23 +316,7 @@ Result<std::vector<TraceTuple>> Evaluator::Compute(const OperatorNode* node,
       // Scan output is the alias's input instance verbatim (same base rids).
       NED_ASSIGN_OR_RETURN(const std::vector<TraceTuple>* tuples,
                            input_->AliasTuples(node->alias));
-      const MorselPlan plan = PlanFor(scope.ctx, tuples->size());
-      if (!plan.active()) return *tuples;
-      // Partitioned copy: scans keep base rids and (like the serial copy)
-      // make no charges, so workers just copy disjoint slices -- trivially
-      // identical to the serial copy, element for element.
-      std::vector<TraceTuple> out(tuples->size());
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(plan.partitions);
-      for (size_t p = 0; p < plan.partitions; ++p) {
-        tasks.push_back([&, p] {
-          for (size_t i = plan.begin(p); i < plan.end(p); ++i) {
-            out[i] = (*tuples)[i];
-          }
-        });
-      }
-      scope.ctx->task_pool()->RunAndWait(tasks);
-      return out;
+      return *tuples;
     }
     case OpKind::kSelect:
       return ComputeSelect(node, scope);
@@ -472,31 +338,6 @@ Result<std::vector<TraceTuple>> Evaluator::ComputeSelect(
     const OperatorNode* node, EvalScope& scope) {
   const std::vector<TraceTuple>& in = *TryGetOutput(node->children[0].get());
   const Schema& schema = node->children[0]->output_schema;
-  const MorselPlan plan = PlanFor(scope.ctx, in.size());
-  if (plan.active()) {
-    // Each morsel filters its input slice in order, leaving rids unassigned;
-    // the partition-order merge in RunPartitioned assigns them, reproducing
-    // the serial production order exactly (a filter is order-preserving).
-    return RunPartitioned(
-        scope, plan,
-        [&](size_t begin, size_t end, ExecContext* shard,
-            std::vector<TraceTuple>* out) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            const TraceTuple& t = in[i];
-            NED_EXEC_TICK(shard);
-            NED_ASSIGN_OR_RETURN(bool keep,
-                                 node->predicate->EvalBool(t.values, schema));
-            if (!keep) continue;
-            TraceTuple o;
-            o.values = t.values;
-            o.preds = {t.rid};
-            o.lineage = t.lineage;
-            ChargeTuple(shard, o);
-            out->push_back(std::move(o));
-          }
-          return Status::OK();
-        });
-  }
   std::vector<TraceTuple> out;
   for (const TraceTuple& t : in) {
     NED_EXEC_TICK(scope.ctx);
@@ -523,10 +364,7 @@ Result<std::vector<TraceTuple>> Evaluator::ComputeProject(
     indices.push_back(idx);
   }
   // Set semantics: value-equal projections merge; lineage is the union of all
-  // contributing tuples' lineages (Cui & Widom projection lineage). Dedup
-  // operators stay coordinator-serial: first-seen order *defines* the rid
-  // order, so a partitioned dedup would have to re-merge serially anyway
-  // (docs/PARALLELISM.md).
+  // contributing tuples' lineages (Cui & Widom projection lineage).
   std::unordered_map<Tuple, size_t, TupleHash> seen;
   std::vector<TraceTuple> out;
   for (const TraceTuple& t : in) {
@@ -636,11 +474,10 @@ Result<std::vector<TraceTuple>> Evaluator::ComputeJoin(
     }
   }
 
-  // Probes one left row against the (read-only) hash table, appending
-  // matches in bucket order. Rid assignment is the caller's job: the serial
-  // loop assigns as it appends, the partitioned path assigns at merge.
-  auto probe_row = [&](const TraceTuple& l, ExecContext* ctx,
-                       std::vector<TraceTuple>* out) -> Status {
+  // Probes one left row against the hash table, appending matches in bucket
+  // order.
+  std::vector<TraceTuple> out;
+  auto probe_row = [&](const TraceTuple& l) -> Status {
     const std::vector<const TraceTuple*>* matches = nullptr;
     if (lkey.empty()) {
       matches = &all_right;
@@ -652,7 +489,8 @@ Result<std::vector<TraceTuple>> Evaluator::ComputeJoin(
       matches = &it->second;
     }
     for (const TraceTuple* r : *matches) {
-      NED_EXEC_TICK(ctx);  // a cross join's inner loop must stay interruptible
+      // A cross join's inner loop must stay interruptible.
+      NED_EXEC_TICK(scope.ctx);
       // Hash buckets can contain numeric-coerced collisions; verify equality.
       bool keys_equal = true;
       for (size_t k = 0; k < lkey.size(); ++k) {
@@ -676,38 +514,19 @@ Result<std::vector<TraceTuple>> Evaluator::ComputeJoin(
         if (!keep) continue;
       }
       TraceTuple o;
+      o.rid = scope.NextRid();
       o.values = std::move(joined);
       o.preds = {l.rid, r->rid};
       o.lineage = BaseSetUnion(l.lineage, r->lineage);
-      ChargeTuple(ctx, o);
-      out->push_back(std::move(o));
+      ChargeTuple(scope.ctx, o);
+      out.push_back(std::move(o));
     }
     return Status::OK();
   };
 
-  const MorselPlan plan = PlanFor(scope.ctx, left.size());
-  if (plan.active()) {
-    // Build stays serial (one hash table, charged to the coordinator);
-    // probe partitions over the left input. Each morsel emits its matches
-    // in (left row, bucket) order over a disjoint left range, so the
-    // partition-order merge is the serial production order.
-    return RunPartitioned(
-        scope, plan,
-        [&](size_t begin, size_t end, ExecContext* shard,
-            std::vector<TraceTuple>* out) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            NED_EXEC_TICK(shard);
-            NED_RETURN_NOT_OK(probe_row(left[i], shard, out));
-          }
-          return Status::OK();
-        });
-  }
-  std::vector<TraceTuple> out;
   for (const TraceTuple& l : left) {
     NED_EXEC_TICK(scope.ctx);
-    size_t first = out.size();
-    NED_RETURN_NOT_OK(probe_row(l, scope.ctx, &out));
-    for (size_t i = first; i < out.size(); ++i) out[i].rid = scope.NextRid();
+    NED_RETURN_NOT_OK(probe_row(l));
   }
   return out;
 }

@@ -27,7 +27,6 @@
 #include "algebra/query_tree.h"
 #include "exec/exec_context.h"
 #include "exec/lineage.h"
-#include "exec/parallel.h"
 
 namespace ned {
 
@@ -102,15 +101,6 @@ class Evaluator {
   /// Output of `node`, evaluating (and caching) descendants as needed.
   Result<const std::vector<TraceTuple>*> EvalNode(const OperatorNode* node);
 
-  /// Evaluates `nodes` (typically one TabQ level of sibling subtrees),
-  /// leaving each memoized as if EvalNode had been called in order. When the
-  /// context carries a task pool, nodes whose children are all evaluated are
-  /// computed concurrently on worker shards and folded back in node order --
-  /// answers, rids, charges and cache insertions are identical to the serial
-  /// walk (docs/PARALLELISM.md). Without parallelism this is exactly the
-  /// EvalNode loop.
-  Status EvalNodes(const std::vector<const OperatorNode*>& nodes);
-
   /// Evaluates the whole tree; returns the root output.
   Result<const std::vector<TraceTuple>*> EvalAll() {
     return EvalNode(tree_->root());
@@ -141,11 +131,8 @@ class Evaluator {
  private:
   using Rows = std::shared_ptr<const std::vector<TraceTuple>>;
 
-  /// One Compute invocation's evaluation scope: the governing context (the
-  /// evaluator's own, or a worker shard's during sibling fan-out) and the
-  /// rid counter of the node being computed. Threading this explicitly --
-  /// instead of evaluator members -- is what lets detached sibling Computes
-  /// run concurrently without sharing mutable state.
+  /// One Compute invocation's evaluation scope: the governing context and
+  /// the rid counter of the node being computed.
   struct EvalScope {
     ExecContext* ctx = nullptr;
     Rid next_rid = 0;
@@ -167,26 +154,10 @@ class Evaluator {
   Result<std::vector<TraceTuple>> ComputeAggregate(const OperatorNode* node,
                                                    EvalScope& scope);
 
-  /// Runs `morsel(begin, end, shard, out)` over every partition of `plan`
-  /// on the scope's task pool, then merges partition outputs in partition
-  /// order, assigning rids from `scope` as rows are appended -- the step
-  /// that makes partitioned output byte-identical to the serial loop.
-  /// Worker charges fold into scope.ctx at each partition boundary,
-  /// followed by a coordinator checkpoint.
-  Result<std::vector<TraceTuple>> RunPartitioned(
-      EvalScope& scope, const MorselPlan& plan,
-      const std::function<Status(size_t, size_t, ExecContext*,
-                                 std::vector<TraceTuple>*)>& morsel);
-
   /// Replays a subtree-cache hit for `node` into outputs_ (charges + ticks
   /// as recomputation would make). Returns false on miss. Caller must have
   /// established cacheability.
   Result<bool> TryReplayCacheHit(const OperatorNode* node);
-
-  /// Computes `node` (children must be evaluated), stores + cache-inserts
-  /// the result. The tail half of EvalNode, shared with EvalNodes.
-  Result<const std::vector<TraceTuple>*> ComputeAndStore(
-      const OperatorNode* node);
 
   /// First rid of `node`'s output: top bit | (node ordinal + 1) << 40. Every
   /// node owns a disjoint rid range and row i of its output always gets base
@@ -201,8 +172,7 @@ class Evaluator {
   /// Memoized per node; see docs/CACHING.md for the collision argument.
   const std::string& CacheKeyFor(const OperatorNode* node);
 
-  /// Charges `t` against `ctx`'s budgets (no-op without a context). Static:
-  /// parallel workers charge their shard context, not the evaluator's.
+  /// Charges `t` against `ctx`'s budgets (no-op without a context).
   static void ChargeTuple(ExecContext* ctx, const TraceTuple& t) {
     if (ctx == nullptr) return;
     ctx->ChargeRows(1);

@@ -24,7 +24,7 @@
 ///     "client_id": "...",                 // optional fair-share identity
 ///     "priority": "interactive",          // interactive | batch | background
 ///     "deadline_ms": 2000, "row_budget": 0, "memory_budget": 0,
-///     "seed": 0, "threads": 0,
+///     "seed": 0,
 ///     "bypass_answer_cache": false, "collect_trace": false,
 ///     "engine": {"early_termination": true, "secondary": true,
 ///                "tabq_dump": false}
@@ -36,6 +36,9 @@
 ///
 /// Unknown top-level fields are rejected (kInvalidArgument) rather than
 /// ignored: a typoed budget knob silently defaulting is worse than a 400.
+/// The one exception is the retired `"threads"` field: evaluation is
+/// serial, but older clients still send it, so a non-negative integer is
+/// accepted and ignored (a negative or non-integer value is still a 400).
 
 #ifndef NED_NET_WIRE_H_
 #define NED_NET_WIRE_H_

@@ -13,13 +13,10 @@
 ///    trace is attached: every emission site is guarded by a raw pointer
 ///    check (SpanScope on a nullptr trace compiles down to two branches).
 ///    bench_obs gates the attached-trace overhead itself at <2%.
-///  - *Thread-count determinism.* Spans are emitted only by the coordinator
-///    thread of a request; worker shards never see the trace
-///    (ExecContext::BeginWorkerShard deliberately does not propagate it).
-///    Hence RenderStructure() -- the names-and-nesting rendering with no
-///    durations -- is byte-identical for serial and parallel evaluation of
-///    the same request, the span-structure analogue of the engine's
-///    rid-merge answer identity.
+///  - *Deterministic structure.* Spans open and close at fixed points of
+///    the engine's walk (one span per phase entry, one per TabQ level), so
+///    RenderStructure() -- the names-and-nesting rendering with no
+///    durations -- is the same for every complete run of a request.
 ///
 /// Trace is deliberately NOT thread-safe: exactly one thread appends to it
 /// at a time. Cross-thread handoff (client -> worker -> client) is sequenced

@@ -227,13 +227,23 @@ Status AnswerStore::Put(const std::string& key, const AnswerSummary& summary,
       CrashPoint::kStoreTornTemp, CrashPoint::kStoreBeforeRename));
   ++entry_files_[EntryFileName(key)];  // index + bump the put generation
   ++stats_.puts;
+  // The db's entry changes only with its snapshot (a reload), so most puts
+  // leave the MANIFEST as it is.
+  if (!manifest_dirty_) {
+    auto it = manifest_.find(manifest.db_name);
+    if (it != manifest_.end() && it->second == manifest) return Status::OK();
+  }
   manifest_[manifest.db_name] = manifest;
+  manifest_dirty_ = true;
   if (crash != nullptr &&
       crash->ShouldCrash(CrashPoint::kStoreBeforeManifest)) {
     // Entry is durable and indexed; only the advisory manifest is stale.
     return CrashStatus("before manifest write");
   }
-  return WriteManifestLocked();
+  NED_RETURN_NOT_OK(WriteManifestLocked());
+  manifest_dirty_ = false;
+  ++stats_.manifest_writes;
+  return Status::OK();
 }
 
 Status AnswerStore::WriteManifestLocked() {

@@ -66,8 +66,10 @@ struct StoreManifestEntry {
     std::string name;
     uint64_t data_version = 0;
     uint64_t rows = 0;
+    bool operator==(const RelationPin&) const = default;
   };
   std::vector<RelationPin> relations;
+  bool operator==(const StoreManifestEntry&) const = default;
 };
 
 struct AnswerStoreStats {
@@ -76,6 +78,7 @@ struct AnswerStoreStats {
   uint64_t misses = 0;
   uint64_t corrupt_dropped = 0;   ///< entries deleted on failed CRC/decode
   uint64_t entries_on_open = 0;   ///< intact-looking entries found by Open
+  uint64_t manifest_writes = 0;   ///< MANIFEST rewrites (one per change)
 };
 
 class AnswerStore {
@@ -94,7 +97,9 @@ class AnswerStore {
   bool Contains(const std::string& key) const;
 
   /// Stores `summary` under `key` and records `manifest` provenance.
-  /// Idempotent: re-putting an existing key rewrites the same bytes.
+  /// Idempotent: re-putting an existing key rewrites the same bytes. The
+  /// MANIFEST file is rewritten only when the db's entry changes (a new
+  /// snapshot), not on every put.
   Status Put(const std::string& key, const AnswerSummary& summary,
              const StoreManifestEntry& manifest);
 
@@ -119,6 +124,9 @@ class AnswerStore {
   /// concurrent Put has since replaced with a fresh valid entry.
   std::unordered_map<std::string, uint64_t> entry_files_;
   std::map<std::string, StoreManifestEntry> manifest_;  ///< by db_name
+  /// manifest_ holds changes the MANIFEST file does not have yet (an
+  /// earlier rewrite failed or was interrupted).
+  bool manifest_dirty_ = false;
   AnswerStoreStats stats_;
 };
 

@@ -94,7 +94,6 @@ WhyNotRequest FullRequest() {
   req.row_budget = 99;
   req.memory_budget = 1u << 20;
   req.seed = 0xDEADBEEFCAFEull;
-  req.threads = 3;
   req.inject_fault_at_step = 17;
   req.inject_transient_failures = 2;
   req.bypass_answer_cache = true;
@@ -141,12 +140,37 @@ TEST(Wire, RequestRoundTripsEveryField) {
   EXPECT_EQ(out.row_budget, req.row_budget);
   EXPECT_EQ(out.memory_budget, req.memory_budget);
   EXPECT_EQ(out.seed, req.seed);
-  EXPECT_EQ(out.threads, req.threads);
   EXPECT_EQ(out.inject_fault_at_step, req.inject_fault_at_step);
   EXPECT_EQ(out.inject_transient_failures, req.inject_transient_failures);
   EXPECT_EQ(out.bypass_answer_cache, req.bypass_answer_cache);
   // Re-encoding the decoded request is byte-identical: doubles travel as
   // raw bits, not through print/parse.
+  EXPECT_EQ(EncodeRequest(out), payload);
+}
+
+// Records written before evaluation became serial carry a per-request
+// thread count in the i64 slot after `seed`; it is now written as 0 and
+// discarded on read, so those journals still replay.
+TEST(Wire, NonZeroRetiredThreadsSlotDecodesAndIsDiscarded) {
+  const WhyNotRequest req = FullRequest();
+  const std::string payload = EncodeRequest(req);
+  // Tail layout: threads i64, inject_fault_at_step u64, transients i64,
+  // flags u8.
+  const size_t slot = payload.size() - (8 + 8 + 8 + 1);
+  ASSERT_EQ(payload.substr(slot, 8), std::string(8, '\0'));
+  std::string legacy = payload;
+  std::string three;
+  wire::PutI64(&three, 3);
+  legacy.replace(slot, 8, three);
+
+  WhyNotRequest out;
+  ASSERT_TRUE(DecodeRequest(legacy, &out).ok());
+  EXPECT_EQ(out.key, req.key);
+  EXPECT_EQ(out.seed, req.seed);
+  EXPECT_EQ(out.inject_fault_at_step, req.inject_fault_at_step);
+  EXPECT_EQ(out.inject_transient_failures, req.inject_transient_failures);
+  EXPECT_EQ(out.bypass_answer_cache, req.bypass_answer_cache);
+  // Re-encoding writes the slot back as 0.
   EXPECT_EQ(EncodeRequest(out), payload);
 }
 
@@ -632,6 +656,48 @@ TEST(ServicePersistence, AnswersSurviveARestartByteIdentically) {
     EXPECT_EQ(service.stats().answer_store_hits, 1u);
     service.Shutdown(/*drain=*/true);
   }
+}
+
+// The MANIFEST pins each db's snapshot, which only a reload changes: puts
+// under one snapshot write it once, and the first put after a reload
+// rewrites it with the new data versions.
+TEST(ServicePersistence, ManifestIsRewrittenOnlyWhenTheSnapshotChanges) {
+  const std::string dir = FreshDir("service_manifest");
+  auto catalog = TinyCatalog();
+  ServiceOptions options;
+  options.workers = 2;
+  options.persist_dir = dir;
+  WhyNotService service(catalog, options);
+  // Distinct questions, so every request is a first-seen answer and a put.
+  auto ask = [&](const std::string& key, const std::string& value) {
+    WhyNotRequest req = TinyRequest(key);
+    CTuple tc;
+    tc.Add("R.v", Value::Str(value));
+    req.question = WhyNotQuestion(tc);
+    auto sub = service.Submit(req);
+    ASSERT_TRUE(sub.status.ok()) << sub.status.ToString();
+    const WhyNotResponse resp = sub.response.get();
+    ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+    ASSERT_TRUE(resp.answer.complete);
+  };
+  const std::vector<std::string> values = {"a", "b", "c", "d", "e"};
+  for (size_t i = 0; i < values.size(); ++i) {
+    ask(StrCat("before-", i), values[i]);
+  }
+  EXPECT_EQ(service.answer_store_stats().puts, values.size());
+  EXPECT_EQ(service.answer_store_stats().manifest_writes, 1u);
+  auto before = ReadFile(dir + "/store/MANIFEST");
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  ASSERT_TRUE(
+      catalog->ReloadCsv("tiny", "S", "id,k,w\n1,10,x\n2,20,z\n").ok());
+  ask("after-0", "a");
+  EXPECT_EQ(service.answer_store_stats().puts, values.size() + 1);
+  EXPECT_EQ(service.answer_store_stats().manifest_writes, 2u);
+  auto after = ReadFile(dir + "/store/MANIFEST");
+  ASSERT_TRUE(after.ok());
+  EXPECT_NE(*after, *before);
+  service.Shutdown(/*drain=*/true);
 }
 
 TEST(ServicePersistence, JournalOnlyModeRecomputesInsteadOfRestoring) {

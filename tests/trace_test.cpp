@@ -1,7 +1,6 @@
 /// \file trace_test.cpp
 /// \brief Trace semantics (ManualClock-exact durations, LIFO auto-close,
-/// PhaseNanos) and the thread-count determinism guarantee: the span tree of
-/// every golden use case is byte-identical at threads {1, 2, 4} vs serial.
+/// PhaseNanos) and the engine's Fig. 5 phase spans.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include "core/nedexplain.h"
 #include "datasets/use_cases.h"
 #include "exec/exec_context.h"
-#include "exec/parallel.h"
 #include "obs/trace.h"
 
 namespace ned {
@@ -159,38 +157,6 @@ TEST(EngineTrace, EmitsTheFigFivePhases) {
   EXPECT_NE(structure.find("tabq_level_"), std::string::npos) << structure;
   EXPECT_NE(structure.find("answer_construction"), std::string::npos)
       << structure;
-}
-
-// The tentpole determinism guarantee: spans are emitted only from
-// coordinator paths, so the span tree never depends on the thread count --
-// for all 19 golden use cases, at threads {1, 2, 4}, parallel evaluation
-// renders the byte-identical structure serial evaluation does.
-TEST(EngineTrace, SpanTreeIsThreadCountInvariantForAllUseCases) {
-  ASSERT_EQ(Registry().use_cases().size(), 19u);
-  TaskPool pool(3);
-  for (const UseCase& uc : Registry().use_cases()) {
-    ExecContext serial_ctx;
-    const std::string serial = TraceStructureFor(uc, &serial_ctx);
-    ASSERT_FALSE(serial.empty()) << uc.name;
-    for (int threads : {1, 2, 4}) {
-      ExecContext ctx;
-      ctx.set_parallelism(&pool, threads);
-      ctx.set_parallel_min_rows(4);
-      EXPECT_EQ(TraceStructureFor(uc, &ctx), serial)
-          << uc.name << ": span tree changed at threads=" << threads;
-    }
-  }
-  EXPECT_LE(pool.peak_active(), static_cast<size_t>(pool.thread_count()));
-}
-
-TEST(EngineTrace, WorkerShardsNeverInheritTheTrace) {
-  ExecContext ctx;
-  Trace trace;
-  ctx.set_trace(&trace);
-  ExecContext shard;
-  ctx.BeginWorkerShard(&shard);
-  EXPECT_EQ(shard.trace(), nullptr);
-  EXPECT_EQ(ctx.trace(), &trace);
 }
 
 TEST(EngineTrace, NoTraceAttachedEmitsNothing) {

@@ -433,6 +433,9 @@ void RunStoreCrashLeg(const std::string& base, CrashPoint point,
     (*fail)(ned::StrCat(name, ": clean Put failed"));
     return;
   }
+  // The second put comes after a reload (a new data version), so it must
+  // rewrite the MANIFEST and passes the manifest crash points too.
+  manifest.relations[0].data_version = 2;
   injector.Arm(point, 1);
   if ((*store)->Put("key-two", second, manifest).ok() || !injector.fired()) {
     (*fail)(ned::StrCat(name, ": armed Put did not crash"));

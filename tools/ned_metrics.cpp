@@ -15,8 +15,8 @@
 ///   ned_metrics [--format prometheus|json] [--out FILE]
 ///   ned_metrics --trace CASE|all [--structure]
 ///
-/// `--structure` renders names and nesting only (no durations): the
-/// byte-identity artifact the serial-vs-parallel determinism tests compare.
+/// `--structure` renders names and nesting only (no durations), which is
+/// the same for every run of a request.
 
 #include <iostream>
 #include <memory>
